@@ -1,16 +1,14 @@
-// End-to-end translation throughput on movie43, isolating the two hot-path
-// optimizations this repo adds on top of the paper's algorithms:
-//   * the similarity + mapping caches (with precomputed schema-name
-//     profiles), and
-//   * the parallel per-root MTJN search (EngineConfig::num_threads).
+// End-to-end translation throughput on movie43, isolating the hot-path
+// optimization this repo adds on top of the paper's algorithms: the
+// similarity + mapping caches (with precomputed schema-name profiles).
 //
 // The workload is the full benchmark query mix (17 textbook + 6 sophisticated
 // + 30 user variants), translated at k = 5 for several rounds. Configurations:
-//   baseline   — cache capacity 0, 1 thread (the pre-optimization behavior)
-//   cache      — default cache, 1 thread
-//   cache+MT   — default cache, 4 threads
-// All three must produce identical translations; the bench cross-checks the
-// best SQL per query and aborts on any divergence.
+//   baseline   — cache capacity 0 (the pre-optimization behavior)
+//   cache      — default cache
+// Both must produce identical translations; the bench cross-checks the best
+// SQL per query. Acceptance: cache >= 2x baseline q/s. The bench exits 1 on a
+// divergence or a MISS.
 //
 // Emits BENCH_translate_throughput.json with queries/sec, per-phase medians,
 // and cache hit rates per configuration. `--smoke` forces rounds = 1.
@@ -57,8 +55,8 @@ std::vector<std::string> Workload() {
 RunResult RunConfig(const storage::Database* db, const core::EngineConfig& cfg,
                     const std::vector<std::string>& queries, int rounds,
                     int k) {
-  // This bench measures the translation *pipeline* (similarity caches,
-  // threading); the plan cache would turn every round after the first into a
+  // This bench measures the translation *pipeline* (similarity caches); the
+  // plan cache would turn every round after the first into a
   // lookup and hide exactly what is being compared. bench_serving measures
   // the plan cache.
   core::EngineConfig pipeline_cfg = cfg;
@@ -129,20 +127,14 @@ int main(int argc, char** argv) {
   core::EngineConfig baseline;
   baseline.similarity_cache_capacity = 0;
   baseline.mapping_cache_capacity = 0;
-  baseline.num_threads = 1;
-  core::EngineConfig cached;
-  cached.num_threads = 1;
-  core::EngineConfig cached_mt;
-  cached_mt.num_threads = 4;
 
   struct Config {
     const char* name;
     const char* key;  // stable short id for the JSON report
     core::EngineConfig cfg;
   } configs[] = {
-      {"baseline (no cache, 1 thread)", "baseline", baseline},
-      {"cache (1 thread)", "cache", cached},
-      {"cache + 4 threads", "cache_mt", cached_mt},
+      {"baseline (no cache)", "baseline", baseline},
+      {"cache", "cache", core::EngineConfig{}},
   };
 
   std::printf("translation throughput — movie43, %zu queries x %d rounds, "
@@ -152,11 +144,13 @@ int main(int argc, char** argv) {
               "hit rate");
 
   double baseline_qps = 0.0;
+  double speedup = 0.0;
   std::vector<RunResult> results;
   for (const Config& c : configs) {
     RunResult r = RunConfig(db.get(), c.cfg, queries, rounds, k);
     double qps = r.translated / r.seconds;
     if (results.empty()) baseline_qps = qps;
+    speedup = qps / baseline_qps;
     double hit_rate =
         r.cache_hits + r.cache_misses == 0
             ? 0.0
@@ -205,11 +199,12 @@ int main(int argc, char** argv) {
   }
   std::printf("\ntranslations identical across configs: %s\n",
               identical ? "yes" : "NO — BUG");
-  std::printf("acceptance: cache + 4 threads >= 2x baseline q/s\n");
+  const bool met = speedup >= 2.0;
+  std::printf("acceptance: cache >= 2x baseline q/s — %.2fx %s\n", speedup,
+              met ? "OK" : "MISS");
 
   report.SetMetric("translations_identical", identical ? 1 : 0);
   RecordRunMetadata(&report, *db);
   (void)report.WriteFile();
-  if (!identical) return 1;
-  return 0;
+  return identical && met ? 0 : 1;
 }

@@ -11,10 +11,6 @@ class MetricsRegistry;
 class QueryProfileStore;
 }  // namespace sfsql::obs
 
-namespace sfsql::exec {
-class TaskPool;
-}  // namespace sfsql::exec
-
 namespace sfsql::core {
 
 /// Tuning parameters of the translator. Defaults are the values the paper's
@@ -71,35 +67,22 @@ struct GeneratorConfig {
   /// of the size threshold customary in schema-based keyword search.
   int max_jn_nodes = 12;
   /// Safety cap on expansions *per root-relation search*; a root's search
-  /// stops (reporting what it has) if exceeded. Per-root rather than global so
-  /// truncation — and with it the result set — is deterministic regardless of
-  /// how the roots are scheduled across threads. Mostly relevant to the
-  /// Regular baseline, which has no isomorphism avoidance and explodes
-  /// combinatorially.
+  /// stops (reporting what it has) if exceeded, and the next root gets a
+  /// fresh budget, so one runaway root cannot starve the roots ranked after
+  /// it. Mostly relevant to the Regular baseline, which has no isomorphism
+  /// avoidance and explodes combinatorially.
   long long max_expansions = 5'000'000;
-  /// Number of worker threads for the per-root best-first searches of TopK /
-  /// TopKRightmost / TopKRegular. Each root relation's search is independent
-  /// (Algorithm 1 removes earlier roots from the graph, which we express as a
-  /// per-root banned set), so roots parallelize embarrassingly; results are
-  /// merged through the canonical-signature dedup and are bit-identical to
-  /// the serial path. 1 = serial (the default); 0 also means serial.
-  int num_threads = 1;
   /// Multiply each rt-mapped node's contribution by its normalized mapping
   /// similarity, so networks that bind relation trees to better-matching
   /// relations outrank structurally identical ones. With exactly specified
   /// names the factor is 1 and the paper's pure edge-weight ranking remains.
   bool use_mapping_scores = true;
   /// Time source for the generator's phase / per-root timings (rank_seconds,
-  /// search_seconds, root_seconds_*, GeneratorTrace). Null = steady clock.
+  /// search_seconds, root_seconds_sum, GeneratorTrace). Null = steady clock.
   /// Injected (engine copies EngineConfig::clock here) so EXPLAIN golden
   /// tests run on a deterministic fake clock. Timings never influence search
   /// decisions, so the clock cannot perturb results.
   const obs::Clock* clock = nullptr;
-  /// Work-stealing pool the per-root searches fan out on when num_threads > 1
-  /// (borrowed; the engine wires in its shared pool at construction). Null
-  /// with num_threads > 1 falls back to the serial path — the generator no
-  /// longer spawns threads of its own.
-  exec::TaskPool* pool = nullptr;
 };
 
 struct EngineConfig {
@@ -107,16 +90,14 @@ struct EngineConfig {
   GeneratorConfig gen;
   /// Number of translations produced by default.
   int k = 10;
-  /// Worker threads for the per-root MTJN searches; copied into
-  /// gen.num_threads at engine construction (kept here so callers can tune
-  /// the whole engine from one knob). 1 = serial.
+  /// Threads of the engine-owned pool: it has max(num_threads, exec_threads)
+  /// - 1 workers, and Execute's morsel loops run on it. Translation is
+  /// serial whatever this says. 1 = no pool.
   int num_threads = 1;
   /// Intra-query execution parallelism: morsel threads one Execute may use
-  /// (exec/task_pool). 0 = inherit num_threads (the default: one knob scales
-  /// both translate and execute); 1 = serial execution (bit-identical to the
-  /// pre-pool executor); N > 1 = up to N-way morsels. Translation and
-  /// execution share one engine-owned pool sized max(num_threads,
-  /// exec_threads) - 1 workers.
+  /// (exec/task_pool). 0 = inherit num_threads (the default); 1 = serial
+  /// execution (bit-identical to the pre-pool executor); N > 1 = up to N-way
+  /// morsels.
   int exec_threads = 0;
   /// Capacity (entries) of the engine's name-similarity memo. Similarity
   /// scores are pure functions of (name, name, q), so the cache is exact;

@@ -242,9 +242,6 @@ SchemaFreeEngine::SchemaFreeEngine(const storage::Database* db,
       plan_cache_(config.plan_cache_enabled && config.plan_cache_capacity > 0
                       ? std::make_unique<PlanCache>(config.plan_cache_capacity)
                       : nullptr) {
-  // One pool serves both halves of the engine: the generator's per-root
-  // searches and the executor's morsel loops.
-  config_.gen.pool = pool_.get();
   if (pool_ != nullptr && config_.metrics != nullptr) {
     pool_->EnableMetrics(config_.metrics);
   }
@@ -702,7 +699,6 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateStatement(
 
   if (explain != nullptr) {
     explain->generator = *gst;
-    explain->seed_bound = trace.seed_bound;
     explain->roots.clear();
     for (const RootSearchTrace& rt : trace.roots) {
       ExplainRootSearch er;

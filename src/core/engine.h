@@ -133,10 +133,9 @@ class SchemaFreeEngine {
   const EngineConfig& config() const { return config_; }
   /// Precomputed profiles of every relation and attribute name in the catalog.
   const text::SchemaNameIndex& name_index() const { return name_index_; }
-  /// The engine-owned work-stealing pool shared by execution morsels and the
-  /// generator's per-root searches; null when the engine is single-threaded
-  /// (max(num_threads, exec_threads) <= 1). Feeds sys_pool and serve_driver
-  /// stats.
+  /// The engine-owned work-stealing pool execution morsels run on; null when
+  /// the engine is single-threaded (max(num_threads, exec_threads) <= 1).
+  /// Feeds sys_pool and serve_driver stats.
   const exec::TaskPool* task_pool() const { return pool_.get(); }
 
   /// Translates a schema-free SELECT into up to `k` full-SQL candidates,
@@ -168,11 +167,10 @@ class SchemaFreeEngine {
   Result<exec::QueryResult> Execute(std::string_view sfsql) const;
 
  private:
-  /// Copies the engine-level num_threads and clock knobs into the generator
-  /// config so the whole engine is tuned from one place, and resolves
-  /// exec_threads (0 = inherit num_threads).
+  /// Copies the engine-level clock into the generator config so the whole
+  /// engine is tuned from one place, and resolves exec_threads (0 = inherit
+  /// num_threads).
   static EngineConfig ResolveConfig(EngineConfig config) {
-    config.gen.num_threads = config.num_threads;
     config.gen.clock = config.clock;
     if (config.exec_threads <= 0) {
       config.exec_threads = config.num_threads > 1 ? config.num_threads : 1;
@@ -232,8 +230,8 @@ class SchemaFreeEngine {
   const storage::Database* db_;
   EngineConfig config_;
   /// One work-stealing pool per engine (exec/task_pool), shared by every
-  /// Execute's morsel loops and every Translate's per-root TopK fan-out;
-  /// sized max(num_threads, exec_threads) - 1 workers, null when that is 0.
+  /// Execute's morsel loops; sized max(num_threads, exec_threads) - 1
+  /// workers, null when that is 0.
   /// Declared before everything that may reference it so it is destroyed
   /// last (after all users are gone).
   std::unique_ptr<exec::TaskPool> pool_;

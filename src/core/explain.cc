@@ -69,7 +69,7 @@ std::string TranslationExplain::RenderTree() const {
     }
   }
   out += "├─ generator: " + std::to_string(generator.roots) +
-         " root(s), seed bound " + Num(seed_bound) + ", pushed " +
+         " root(s), pushed " +
          std::to_string(generator.pushed) + ", popped " +
          std::to_string(generator.popped) + ", expansions " +
          std::to_string(generator.expansions) + ", pruned " +
@@ -202,7 +202,6 @@ std::string TranslationExplain::ToJson(bool pretty,
   w.Key("generator");
   w.BeginObject();
   w.KV("roots", generator.roots);
-  w.KV("seed_bound", seed_bound);
   w.KV("pushed", generator.pushed);
   w.KV("popped", generator.popped);
   w.KV("expansions", generator.expansions);
@@ -212,7 +211,6 @@ std::string TranslationExplain::ToJson(bool pretty,
   w.KV("rank_seconds", generator.rank_seconds);
   w.KV("search_seconds", generator.search_seconds);
   w.KV("root_seconds_sum", generator.root_seconds_sum);
-  w.KV("root_seconds_max", generator.root_seconds_max);
   w.Key("root_searches");
   w.BeginArray();
   for (const ExplainRootSearch& r : roots) {

@@ -39,7 +39,7 @@ struct ExplainTree {
 struct ExplainRootSearch {
   std::string root;            ///< XNode::ToString of the root
   double potential = 0.0;      ///< Algorithm 1 rank score
-  double initial_bound = 0.0;  ///< pruning bound seeded into the search
+  double initial_bound = 0.0;  ///< kth weight when the search started
   double final_bound = 0.0;    ///< bound when the search finished
   double seconds = 0.0;
   long long pushed = 0;
@@ -120,9 +120,8 @@ struct TranslationExplain {
 
   std::vector<ExplainTree> trees;
 
-  // Generator provenance: merged counters plus the per-root searches.
+  // Generator provenance: summed counters plus the per-root searches.
   GeneratorStats generator;
-  double seed_bound = 0.0;  ///< root-0 kth weight seeded into the other roots
   std::vector<ExplainRootSearch> roots;
 
   std::vector<ExplainResult> results;

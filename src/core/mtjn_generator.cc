@@ -7,16 +7,19 @@
 #include <string>
 #include <utility>
 
-#include "exec/task_pool.h"
 #include "obs/clock.h"
 
 namespace sfsql::core {
 
 namespace {
 
-/// Priority-queue entry; `priority` is an upper bound on the weight of every
-/// MTJN expandable from `jn` (the potential for Algorithm 2, the construction
-/// weight itself for the baselines — both only shrink along expansions).
+/// Priority-queue entry. For the baselines `priority` is the construction
+/// weight, which only shrinks along expansions, so it upper-bounds every MTJN
+/// expandable from `jn`. For Algorithm 2 it is the Algorithm 3 potential, a
+/// greedy estimate that is *not* a safe bound beyond path-shaped graphs: on
+/// course53 (CB6, CB10, CC9, CC10) pruning on it makes k = 1 return a worse
+/// top-1 than k = 10 does (EXPERIMENTS.md). Pruning is therefore exact for
+/// the baselines and a heuristic for Algorithm 2.
 struct QueueEntry {
   double priority;
   long long seq;  // FIFO tie-break for determinism
@@ -43,12 +46,23 @@ class TopKResults {
       by_signature_.emplace(std::move(sig), jn);
     } else if (jn.weight() > it->second.weight()) {
       it->second = jn;
+    } else {
+      return;
     }
+    kth_weight_ = ComputeKthWeight();
   }
 
   /// Weight of the kth best result, 0 if fewer than k exist yet (k <= 0 means
-  /// "no bound": never prune).
-  double KthWeight() const {
+  /// "no bound": never prune). Read on every pop and expansion, so it is
+  /// recomputed only when Add changes the results.
+  double KthWeight() const { return kth_weight_; }
+
+  const std::map<std::string, JoinNetwork>& by_signature() const {
+    return by_signature_;
+  }
+
+ private:
+  double ComputeKthWeight() const {
     if (k_ <= 0 || static_cast<int>(by_signature_.size()) < k_) return 0.0;
     std::vector<double> weights;
     weights.reserve(by_signature_.size());
@@ -58,11 +72,9 @@ class TopKResults {
     return weights[k_ - 1];
   }
 
-  std::map<std::string, JoinNetwork>& by_signature() { return by_signature_; }
-
- private:
   int k_;
   std::map<std::string, JoinNetwork> by_signature_;
+  double kth_weight_ = 0.0;
 };
 
 double Seconds(const obs::Clock& clock, uint64_t since_nanos) {
@@ -173,28 +185,23 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
   std::sort(ranked.begin(), ranked.end(), std::greater<>());
   st.rank_seconds = Seconds(clock, rank_start);
 
-  // One best-first search per root. Each search only sees its own pruning
-  // bound and its own expansion budget, so its outcome depends on nothing but
-  // (graph, root, banned set, initial_bound) — the prerequisite for running
-  // them on threads without losing determinism. `banned` holds all
-  // better-ranked roots (Algorithm 1 line 5 removes a finished root from the
-  // graph). `initial_bound` is a weight known to be no greater than the final
-  // global kth weight; anything strictly below it can never enter the top k.
-  auto search_root = [&](size_t rank_index, double initial_bound,
-                         GeneratorStats& rst, double& final_bound)
-      -> std::map<std::string, JoinNetwork> {
-    const int root = ranked[rank_index].second;
-    std::set<int> banned;
-    for (size_t j = 0; j < rank_index; ++j) banned.insert(ranked[j].second);
+  // Algorithm 1: one best-first search per root, in rank order, all feeding
+  // a single top-k list, so every search prunes against the kth weight found
+  // so far by the roots before it. `banned` holds those better-ranked roots
+  // (Algorithm 1 line 5 removes a finished root from the graph).
+  uint64_t search_start = clock.NowNanos();
+  TopKResults results(k);
+  std::set<int> banned;
 
-    TopKResults results(k);
+  // One root's search; `rst` gets its counters, and its expansion budget
+  // (GeneratorConfig::max_expansions) is per root.
+  auto search_root = [&](double potential, int root, GeneratorStats& rst) {
     JoinNetwork seed(graph_, root, config_.use_mapping_scores);
     if (graph_->num_rts() == 1) {
       // A single relation tree: the seed itself is the MTJN.
       ++rst.emitted;
       results.Add(seed);
-      final_bound = std::max(initial_bound, results.KthWeight());
-      return std::move(results.by_signature());
+      return;
     }
 
     auto contains_banned_new = [&](const JoinNetwork& before,
@@ -207,8 +214,8 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
 
     long long seq = 0;
     std::priority_queue<QueueEntry, std::vector<QueueEntry>, QueueCompare> queue;
-    queue.push(QueueEntry{pruning ? ranked[rank_index].first : seed.weight(),
-                          seq++, std::move(seed)});
+    queue.push(QueueEntry{pruning ? potential : seed.weight(), seq++,
+                          std::move(seed)});
     ++rst.pushed;
 
     while (!queue.empty()) {
@@ -219,11 +226,12 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
       QueueEntry entry = queue.top();
       queue.pop();
       ++rst.popped;
-      // The priority upper-bounds every descendant: once it falls *strictly*
-      // below the pruning bound, neither it nor anything left in the queue
-      // can reach the top k. (Strictly: an equal-weight network may still
-      // belong to the top k under the signature tie-break.)
-      double bound = std::max(initial_bound, results.KthWeight());
+      // Stop once the best queued priority falls *strictly* below the kth
+      // weight. (Strictly: an equal-weight network may still belong to the
+      // top k under the signature tie-break.) Exact for the baselines, whose
+      // priority is the construction weight; a heuristic for Algorithm 2 (see
+      // QueueEntry).
+      double bound = results.KthWeight();
       if (bound > 0.0 && entry.priority < bound) break;
       const JoinNetwork& jn = entry.jn;
 
@@ -245,7 +253,7 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
           if (legality && expanded->HasDeadBareLeaf()) return;  // Example 9
           double priority =
               pruning ? PotentialEstimate(*expanded) : expanded->weight();
-          double kth = std::max(initial_bound, results.KthWeight());
+          double kth = results.KthWeight();
           if (pruning && kth > 0.0 && priority < kth) {
             ++rst.pruned;
             return;
@@ -267,95 +275,32 @@ std::vector<ScoredNetwork> MtjnGenerator::Run(int k, Strategy strategy,
         }
       }
     }
-    final_bound = std::max(initial_bound, results.KthWeight());
-    return std::move(results.by_signature());
   };
 
-  uint64_t search_start = clock.NowNanos();
-  std::vector<std::map<std::string, JoinNetwork>> outcomes(ranked.size());
-  std::vector<GeneratorStats> root_stats(ranked.size());
-  std::vector<RootSearchTrace> root_traces(ranked.size());
-
-  // Runs one root's search with its provenance record wrapped around it. The
-  // clock reads bracket only this root's work, so per-root times are additive
-  // (sum = total work) even when roots run concurrently.
-  auto run_root = [&](size_t i, double initial_bound) {
-    RootSearchTrace& rt = root_traces[i];
-    rt.root_xnode = ranked[i].second;
-    rt.potential = ranked[i].first;
-    rt.initial_bound = initial_bound;
+  for (const auto& [potential, root] : ranked) {
+    RootSearchTrace rt;
+    rt.root_xnode = root;
+    rt.potential = potential;
+    rt.initial_bound = results.KthWeight();
     rt.start_nanos = clock.NowNanos();
-    outcomes[i] = search_root(i, initial_bound, root_stats[i], rt.final_bound);
+    search_root(potential, root, rt.stats);
     rt.end_nanos = clock.NowNanos();
-  };
+    rt.final_bound = results.KthWeight();
+    banned.insert(root);
 
-  // The best-ranked root searches first with no outside bound; its kth weight
-  // is a floor on the final global kth weight (its results all pool into the
-  // merge), so it safely seeds every other root's pruning bound. The seed is
-  // the same number regardless of scheduling, which keeps the parallel path
-  // bit-identical to the serial one.
-  run_root(0, 0.0);
-  double bound0 = 0.0;
-  if (k >= 1 && static_cast<int>(outcomes[0].size()) >= k) {
-    std::vector<double> weights;
-    weights.reserve(outcomes[0].size());
-    for (const auto& [sig, jn] : outcomes[0]) weights.push_back(jn.weight());
-    std::nth_element(weights.begin(), weights.begin() + (k - 1), weights.end(),
-                     std::greater<double>());
-    bound0 = weights[k - 1];
-  }
-
-  // The remaining roots fan out on the engine's shared work-stealing pool
-  // (grain 1: each root is one morsel, so idle workers steal whole roots).
-  // Results land in pre-sized per-root slots and merge in rank order below,
-  // so scheduling cannot perturb the output — parallel stays bit-identical
-  // to serial. Without a pool (or with num_threads <= 1) the loop is serial;
-  // the generator never spawns threads of its own.
-  const size_t rest = ranked.size() - 1;
-  if (config_.num_threads > 1 && config_.pool != nullptr && rest > 1) {
-    config_.pool->ParallelFor(rest, 1, [&](size_t b, size_t e) {
-      for (size_t j = b; j < e; ++j) run_root(j + 1, bound0);
-    });
-  } else {
-    for (size_t i = 1; i < ranked.size(); ++i) {
-      run_root(i, bound0);
-    }
-  }
-
-  // Merge per-root results in rank order: canonical-signature dedup keeping
-  // the best construction weight, exactly as a shared accumulator would.
-  std::map<std::string, JoinNetwork> merged;
-  for (size_t i = 0; i < ranked.size(); ++i) {
-    const GeneratorStats& rst = root_stats[i];
+    const GeneratorStats& rst = rt.stats;
     st.pushed += rst.pushed;
     st.popped += rst.popped;
     st.expansions += rst.expansions;
     st.pruned += rst.pruned;
     st.emitted += rst.emitted;
     st.truncated = st.truncated || rst.truncated;
-    double root_secs = obs::NanosToSeconds(root_traces[i].end_nanos -
-                                           root_traces[i].start_nanos);
-    st.root_seconds_sum += root_secs;
-    st.root_seconds_max = std::max(st.root_seconds_max, root_secs);
-    for (auto& [sig, jn] : outcomes[i]) {
-      auto it = merged.find(sig);
-      if (it == merged.end()) {
-        merged.emplace(sig, std::move(jn));
-      } else if (jn.weight() > it->second.weight()) {
-        it->second = std::move(jn);
-      }
-    }
+    st.root_seconds_sum += obs::NanosToSeconds(rt.end_nanos - rt.start_nanos);
+    if (trace != nullptr) trace->roots.push_back(std::move(rt));
   }
   st.roots = static_cast<int>(ranked.size());
   st.search_seconds = Seconds(clock, search_start);
-  if (trace != nullptr) {
-    for (size_t i = 0; i < ranked.size(); ++i) {
-      root_traces[i].stats = root_stats[i];
-    }
-    trace->seed_bound = bound0;
-    trace->roots = std::move(root_traces);
-  }
-  return TakeTopK(merged, k);
+  return TakeTopK(results.by_signature(), k);
 }
 
 std::vector<ScoredNetwork> MtjnGenerator::TopK(int k, GeneratorStats* stats,

@@ -17,10 +17,9 @@ struct ScoredNetwork {
   double weight = 0.0;
 };
 
-/// Counters for the efficiency experiments (Fig. 17). Counters are summed
-/// over the per-root searches in root-rank order, so they are identical for
-/// the serial and parallel paths; the wall-clock phase timings are what the
-/// throughput benchmarks report.
+/// Counters for the efficiency experiments (Fig. 17), summed over the
+/// per-root searches; the wall-clock phase timings are what the throughput
+/// benchmarks report.
 ///
 /// This struct is a thin per-call adapter over the generator's
 /// instrumentation: when the engine runs with an obs::MetricsRegistry the
@@ -35,19 +34,16 @@ struct GeneratorStats {
   bool truncated = false;  ///< some root hit the max_expansions safety cap
   int roots = 0;           ///< per-root best-first searches performed
   double rank_seconds = 0.0;    ///< wall clock: root ranking (Algorithm 1 prep)
-  double search_seconds = 0.0;  ///< wall clock: all per-root searches + merge
-  /// Per-root search times, aggregated in rank order (so serial and parallel
-  /// runs merge identically): the *sum* is total work done, the *max* is the
-  /// critical path. With num_threads == 1, search_seconds ≈ root_seconds_sum;
-  /// with more threads search_seconds approaches root_seconds_max — reporting
-  /// the two separately removes the ambiguity a single wall-time field had.
+  double search_seconds = 0.0;  ///< wall clock: all per-root searches
+  /// Sum of the per-root search brackets; search_seconds minus this is the
+  /// bookkeeping between roots.
   double root_seconds_sum = 0.0;
-  double root_seconds_max = 0.0;
 };
 
 /// Optional provenance of one Run (the EXPLAIN substrate): how the roots
 /// ranked, what bound each search started and ended with, and what each
-/// contributed. Entries are in rank order, matching the merge order.
+/// contributed. Entries are in rank order, the order the searches ran in, so
+/// each root's initial_bound is the previous root's final_bound.
 struct RootSearchTrace {
   int root_xnode = -1;        ///< extended-graph node the search grew from
   double potential = 0.0;     ///< Algorithm 1 rank score (upper bound)
@@ -59,9 +55,6 @@ struct RootSearchTrace {
 };
 
 struct GeneratorTrace {
-  /// The best-ranked root's kth weight, seeded into every other root's
-  /// pruning bound (0 when it produced fewer than k networks).
-  double seed_bound = 0.0;
   std::vector<RootSearchTrace> roots;
 };
 
@@ -82,14 +75,12 @@ struct GeneratorTrace {
 /// All strategies deduplicate *results* by canonical signature, keeping the
 /// best construction weight per network (Definition 7), and order results by
 /// weight with ties broken on canonical signature — so the returned list is
-/// identical across runs, platforms, and thread counts.
+/// identical across runs and platforms.
 ///
-/// Each root relation's best-first search is independent (Algorithm 1 removes
-/// earlier roots from the graph, expressed here as a per-root banned set), so
-/// GeneratorConfig::num_threads > 1 runs the roots on a small thread pool.
-/// Pruning bounds are per-root and the per-root searches are scheduled
-/// deterministically, so the parallel path produces bit-identical results to
-/// the serial one.
+/// As in Algorithm 1, the roots are searched one after another in rank order
+/// (each search bans the roots before it) and all feed one shared top-k list,
+/// so a root's pruning bound is the kth weight found by every root before it.
+/// The search is serial; the engine's thread pool serves execution only.
 class MtjnGenerator {
  public:
   MtjnGenerator(const ExtendedViewGraph* graph, GeneratorConfig config)

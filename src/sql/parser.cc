@@ -189,9 +189,27 @@ class Parser {
     return stmt;
   }
 
+  /// Runs `parse` one nesting level deeper. Every recursive cycle of the
+  /// grammar passes through here (ParseExpr, and the NOT and unary-minus
+  /// chains), so nesting past kMaxNestingDepth fails instead of exhausting
+  /// the stack.
+  template <typename Fn>
+  Result<ExprPtr> Nested(Fn parse) {
+    if (depth_ >= kMaxNestingDepth) {
+      return Error(StrCat("expression nested deeper than ", kMaxNestingDepth,
+                          " levels"));
+    }
+    ++depth_;
+    Result<ExprPtr> out = parse();
+    --depth_;
+    return out;
+  }
+
   // Precedence: OR < AND < NOT < predicate (comparisons, IN, BETWEEN, LIKE,
   // IS NULL) < additive < multiplicative < unary minus < primary.
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    return Nested([this] { return ParseOr(); });
+  }
 
   Result<ExprPtr> ParseOr() {
     SFSQL_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
@@ -216,7 +234,8 @@ class Parser {
   Result<ExprPtr> ParseNot() {
     if (Peek().IsKeyword("not")) {
       Advance();
-      SFSQL_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      SFSQL_ASSIGN_OR_RETURN(ExprPtr operand,
+                             Nested([this] { return ParseNot(); }));
       return Expr::Unary(UnaryOp::kNot, std::move(operand));
     }
     return ParsePredicate();
@@ -333,7 +352,8 @@ class Parser {
   Result<ExprPtr> ParseUnary() {
     if (Peek().IsSymbol("-")) {
       Advance();
-      SFSQL_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      SFSQL_ASSIGN_OR_RETURN(ExprPtr operand,
+                             Nested([this] { return ParseUnary(); }));
       return Expr::Unary(UnaryOp::kNeg, std::move(operand));
     }
     return ParsePrimary();
@@ -429,6 +449,7 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   int anon_counter_ = 0;
+  int depth_ = 0;  ///< current Nested() depth
 };
 
 }  // namespace

@@ -12,6 +12,11 @@ class Tracer;
 
 namespace sfsql::sql {
 
+/// Deepest expression nesting the parser accepts. Parentheses, function
+/// arguments, subqueries, and NOT / unary-minus chains each add a level;
+/// deeper input is a ParseError rather than a stack overflow.
+inline constexpr int kMaxNestingDepth = 256;
+
 /// Parses one (schema-free or full) SQL SELECT statement.
 ///
 /// Full SQL is the degenerate case with every name exact and the FROM clause

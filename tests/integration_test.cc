@@ -220,32 +220,24 @@ TEST(DeterminismTest, SameSeedSameTranslations) {
   }
 }
 
-TEST(DeterminismTest, ThreadAndCacheConfigsDoNotChangeTranslations) {
-  // The similarity cache memoizes a pure function and the parallel generator
-  // uses per-root bounds, so every engine configuration must emit exactly the
-  // same SQL, weights, and order.
+TEST(DeterminismTest, CacheConfigsDoNotChangeTranslations) {
+  // The similarity and mapping caches memoize pure functions, so the engine
+  // must emit exactly the same SQL, weights, and order with them off.
   auto db = workloads::BuildMovie43(42, 60);
   core::EngineConfig plain;
   plain.similarity_cache_capacity = 0;
   plain.mapping_cache_capacity = 0;
-  core::EngineConfig cached;  // defaults: cache on, serial
-  core::EngineConfig threaded;
-  threaded.num_threads = 4;
+  core::EngineConfig cached;  // defaults: caches on
   core::SchemaFreeEngine e_plain(db.get(), plain);
   core::SchemaFreeEngine e_cached(db.get(), cached);
-  core::SchemaFreeEngine e_threaded(db.get(), threaded);
   for (const workloads::BenchQuery& q : workloads::SophisticatedQueries()) {
     auto a = e_plain.Translate(q.sfsql, 5);
     auto b = e_cached.Translate(q.sfsql, 5);
-    auto c = e_threaded.Translate(q.sfsql, 5);
-    ASSERT_TRUE(a.ok() && b.ok() && c.ok()) << q.id;
+    ASSERT_TRUE(a.ok() && b.ok()) << q.id;
     ASSERT_EQ(a->size(), b->size()) << q.id;
-    ASSERT_EQ(a->size(), c->size()) << q.id;
     for (size_t i = 0; i < a->size(); ++i) {
       EXPECT_EQ((*a)[i].sql, (*b)[i].sql) << q.id << " rank " << i;
-      EXPECT_EQ((*a)[i].sql, (*c)[i].sql) << q.id << " rank " << i;
       EXPECT_EQ((*a)[i].weight, (*b)[i].weight) << q.id << " rank " << i;
-      EXPECT_EQ((*a)[i].weight, (*c)[i].weight) << q.id << " rank " << i;
     }
   }
 }

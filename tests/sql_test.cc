@@ -232,6 +232,38 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseSelect("SELECT count(").ok());
 }
 
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+TEST(ParserTest, NestingDepthIsBounded) {
+  auto parens = [](int n) {
+    return "SELECT " + Repeat("(", n) + "1" + Repeat(")", n) + " FROM Movie";
+  };
+  // The select item itself is one level, each parenthesis one more.
+  EXPECT_TRUE(ParseSelect(parens(kMaxNestingDepth - 1)).ok());
+  auto deep = ParseSelect(parens(5000));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
+
+  auto nested_in = [](int n) {
+    return Repeat("SELECT title FROM Movie WHERE id IN (", n) +
+           "SELECT id FROM Movie" + Repeat(")", n);
+  };
+  EXPECT_TRUE(ParseSelect(nested_in(kMaxNestingDepth - 1)).ok());
+  auto deep_in = ParseSelect(nested_in(2000));
+  ASSERT_FALSE(deep_in.ok());
+  EXPECT_EQ(deep_in.status().code(), StatusCode::kParseError);
+
+  // NOT and unary-minus chains recurse without parentheses.
+  auto nots = ParseSelect("SELECT a FROM T WHERE " + Repeat("NOT ", 5000) + "b");
+  EXPECT_EQ(nots.status().code(), StatusCode::kParseError);
+  auto negs = ParseSelect("SELECT " + Repeat("- ", 5000) + "1 FROM T");
+  EXPECT_EQ(negs.status().code(), StatusCode::kParseError);
+}
+
 TEST(ParserTest, ReservedWordsCannotBeNames) {
   EXPECT_FALSE(ParseSelect("SELECT select FROM T").ok());
   EXPECT_FALSE(ParseSelect("SELECT a FROM where").ok());

@@ -7,7 +7,7 @@
 // provenance is written to stdout as a JSON document (the shape golden-tested
 // in tests/explain_test.cc).
 //
-// Usage: explain_translate [--json] [--compact] [-k N] [--threads N] [query]
+// Usage: explain_translate [--json] [--compact] [-k N] [query]
 //        (no query argument: the query is read from stdin, one line)
 #include <cstdlib>
 #include <cstring>
@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   bool json = false;
   bool pretty = true;
   int k = 3;
-  core::EngineConfig config;
   std::string query;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
@@ -32,8 +31,6 @@ int main(int argc, char** argv) {
       pretty = false;
     } else if (std::strcmp(argv[i], "-k") == 0 && i + 1 < argc) {
       k = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      config.num_threads = std::atoi(argv[++i]);
     } else {
       if (!query.empty()) query += " ";
       query += argv[i];
@@ -42,12 +39,12 @@ int main(int argc, char** argv) {
   if (query.empty()) std::getline(std::cin, query);
   if (query.empty()) {
     std::cerr << "usage: explain_translate [--json] [--compact] [-k N] "
-                 "[--threads N] [query]\n";
+                 "[query]\n";
     return 2;
   }
 
   auto db = workloads::BuildMovie43(42, 60);
-  core::SchemaFreeEngine engine(db.get(), config);
+  core::SchemaFreeEngine engine(db.get());
 
   core::TranslationExplain explain;
   auto result = engine.TranslateExplained(query, k, &explain);
