@@ -224,10 +224,12 @@ int main(int argc, char** argv) {
   std::printf("\nprofiling overhead (always-on QueryProfile capture + "
               "metrics):\n");
   std::printf("%-16s %12.1f q/s\n", "profiling off", prof_off_qps);
-  std::printf("%-16s %12.1f q/s — %llu profiles recorded, %llu dropped\n",
+  std::printf("%-16s %12.1f q/s — %llu profiles recorded, %llu evicted, "
+              "%llu skipped\n",
               "profiling on", prof_on_qps,
               static_cast<unsigned long long>(prof_store.recorded()),
-              static_cast<unsigned long long>(prof_store.dropped()));
+              static_cast<unsigned long long>(prof_store.evicted()),
+              static_cast<unsigned long long>(prof_store.skipped()));
   std::printf("ratio (on / off): %.3f — acceptance >= 0.95: %s\n",
               overhead_ratio, overhead_ratio >= 0.95 ? "PASS" : "MISS");
 
@@ -265,8 +267,10 @@ int main(int argc, char** argv) {
   report.SetMetric("profiling_overhead_ratio", overhead_ratio);
   report.SetMetric("profiles_recorded",
                    static_cast<double>(prof_store.recorded()));
-  report.SetMetric("profile_ring_dropped",
-                   static_cast<double>(prof_store.dropped()));
+  report.SetMetric("profile_ring_evicted",
+                   static_cast<double>(prof_store.evicted()));
+  report.SetMetric("profile_ring_skipped",
+                   static_cast<double>(prof_store.skipped()));
   report.SetLatencyMetrics("cache_on_translate_seconds",
                            std::move(on.latencies_seconds));
   report.SetLatencyMetrics("cache_off_translate_seconds",

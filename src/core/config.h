@@ -47,12 +47,6 @@ struct SimilarityConfig {
   /// row. Both paths return identical answers; `false` forces the scans, kept
   /// for differential testing and benchmarking.
   bool use_column_index = true;
-  /// Capacity (entries) of the mapper's satisfiability memo: (relation, attr,
-  /// canonical condition) -> bool, stamped with the relation's row count so
-  /// appends invalidate exactly. Probes repeat heavily across candidate
-  /// relation trees within one translation and across a workload; 0 disables
-  /// (each probe hits the index or scan directly).
-  size_t satisfiability_memo_capacity = 1 << 16;
 };
 
 /// Knobs of the top-k MTJN generators (§6).

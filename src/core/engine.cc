@@ -72,8 +72,6 @@ struct PipelineMetrics {
                                        obs::Labels{{"path", "index"}});
     sat_scan_probes = reg->GetCounter("sfsql_satisfiability_probes_total",
                                       kProbeHelp, obs::Labels{{"path", "scan"}});
-    sat_memo_hits = reg->GetCounter("sfsql_satisfiability_probes_total",
-                                    kProbeHelp, obs::Labels{{"path", "memo"}});
     index_builds = reg->GetCounter("sfsql_column_index_builds_total",
                                    "Per-column satisfiability indexes built");
     index_build_seconds =
@@ -124,7 +122,6 @@ struct PipelineMetrics {
   obs::Gauge* cache_entries;
   obs::Counter* sat_index_probes;
   obs::Counter* sat_scan_probes;
-  obs::Counter* sat_memo_hits;
   obs::Counter* index_builds;
   obs::Gauge* index_build_seconds;
   obs::Counter* like_verified;
@@ -852,9 +849,8 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
   const obs::Clock* clock = obs::ClockOrSteady(config_.clock);
   text::SimilarityCache::Stats before;
   storage::ColumnIndexStats idx_before;
-  SatisfiabilityMemoStats memo_before;
   PlanCacheStats plan_before;
-  // Snapshots of the similarity/index/memo counters are deferred until the
+  // Snapshots of the similarity/index counters are deferred until the
   // tier-2 lookup has missed: a tier-2 hit runs neither the similarity
   // machinery nor satisfiability probes, so its deltas are zero by
   // construction and snapshotting them would be pure hit-path cost.
@@ -896,7 +892,6 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     if (timing) {
       before = sim_cache_.stats();
       idx_before = db_->column_index_stats();
-      memo_before = mapper_.memo_stats();
       deep_stats = true;
     }
     // Taken after GetFull (whose miss increment therefore precedes it; the
@@ -983,16 +978,11 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     evictions_delta =
         static_cast<long long>(after.evictions - before.evictions);
     const storage::ColumnIndexStats idx_after = db_->column_index_stats();
-    const SatisfiabilityMemoStats memo_after = mapper_.memo_stats();
     stats->sat_index_probes =
         static_cast<long long>((idx_after.value_probes + idx_after.like_probes) -
                                (idx_before.value_probes + idx_before.like_probes));
     stats->sat_scan_probes =
         static_cast<long long>(idx_after.scan_probes - idx_before.scan_probes);
-    stats->sat_memo_hits =
-        static_cast<long long>(memo_after.hits - memo_before.hits);
-    stats->sat_memo_misses =
-        static_cast<long long>(memo_after.misses - memo_before.misses);
     stats->index_builds =
         static_cast<long long>(idx_after.builds - idx_before.builds);
     stats->index_build_seconds =
@@ -1036,7 +1026,6 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     explain->cache_misses = stats->cache_misses;
     explain->sat_index_probes = stats->sat_index_probes;
     explain->sat_scan_probes = stats->sat_scan_probes;
-    explain->sat_memo_hits = stats->sat_memo_hits;
     explain->index_builds = stats->index_builds;
   }
   if (caller_explain && out.ok() && !out->empty()) {
@@ -1094,7 +1083,6 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     m.sat_index_probes->Increment(
         static_cast<uint64_t>(stats->sat_index_probes));
     m.sat_scan_probes->Increment(static_cast<uint64_t>(stats->sat_scan_probes));
-    m.sat_memo_hits->Increment(static_cast<uint64_t>(stats->sat_memo_hits));
     m.index_builds->Increment(static_cast<uint64_t>(stats->index_builds));
     if (stats->index_build_seconds > 0.0) {
       m.index_build_seconds->Add(stats->index_build_seconds);
@@ -1168,7 +1156,6 @@ Result<std::vector<Translation>> SchemaFreeEngine::TranslateImpl(
     prof.compose_seconds = stats->compose_seconds;
     prof.sat_index_probes = stats->sat_index_probes;
     prof.sat_scan_probes = stats->sat_scan_probes;
-    prof.sat_memo_hits = stats->sat_memo_hits;
     prof.translations = out.ok() ? static_cast<long long>(out->size()) : 0;
     if (served_tier == 0) {
       // Phase spans only for pipeline runs: hits skip the phases, and

@@ -48,8 +48,7 @@ std::string TranslationExplain::RenderTree() const {
   out += "\n";
   out += "├─ satisfiability: " + std::to_string(sat_index_probes) +
          " index probe(s), " + std::to_string(sat_scan_probes) +
-         " scan probe(s), " + std::to_string(sat_memo_hits) +
-         " memo hit(s), " + std::to_string(index_builds) +
+         " scan probe(s), " + std::to_string(index_builds) +
          " index build(s)\n";
   for (const ExplainTree& t : trees) {
     out += "├─ relation tree rt" + std::to_string(t.rt_id) + ": " + t.tree +
@@ -164,7 +163,6 @@ std::string TranslationExplain::ToJson(bool pretty,
   w.BeginObject();
   w.KV("index_probes", sat_index_probes);
   w.KV("scan_probes", sat_scan_probes);
-  w.KV("memo_hits", sat_memo_hits);
   w.KV("index_builds", index_builds);
   w.EndObject();
 

@@ -115,7 +115,6 @@ struct TranslationExplain {
   // EXPLAIN document stays deterministic under a fake clock.
   long long sat_index_probes = 0;  ///< answered by a column index
   long long sat_scan_probes = 0;   ///< answered by a fallback full scan
-  long long sat_memo_hits = 0;     ///< answered from the satisfiability memo
   long long index_builds = 0;      ///< column indexes (re)built during the call
 
   std::vector<ExplainTree> trees;

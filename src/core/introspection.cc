@@ -67,7 +67,6 @@ std::vector<Row> QueryRows(const obs::QueryProfileStore* profiles) {
     row.push_back(Value::Double(p.execute_seconds * 1e3));
     row.push_back(Value::Int(p.sat_index_probes));
     row.push_back(Value::Int(p.sat_scan_probes));
-    row.push_back(Value::Int(p.sat_memo_hits));
     row.push_back(Value::Int(p.translations));
     row.push_back(Value::Int(static_cast<int64_t>(p.rows_scanned)));
     row.push_back(Value::Int(static_cast<int64_t>(p.rows_returned)));
@@ -282,7 +281,6 @@ Introspection::Introspection(const IntrospectionSources& sources) {
        {"execute_ms", kDouble},
        {"sat_index_probes", kInt},
        {"sat_scan_probes", kInt},
-       {"sat_memo_hits", kInt},
        {"translations", kInt},
        {"rows_scanned", kInt},
        {"rows_returned", kInt},

@@ -26,7 +26,6 @@ void QueryProfile::WriteJson(JsonWriter& w) const {
   w.KV("execute_ms", execute_seconds * 1e3);
   w.KV("sat_index_probes", sat_index_probes);
   w.KV("sat_scan_probes", sat_scan_probes);
-  w.KV("sat_memo_hits", sat_memo_hits);
   w.KV("translations", translations);
   w.KV("rows_scanned", static_cast<unsigned long long>(rows_scanned));
   w.KV("rows_returned", static_cast<unsigned long long>(rows_returned));
@@ -74,12 +73,12 @@ void QueryProfileStore::Record(QueryProfile&& profile) {
       shard.cursor.fetch_add(1, kRelaxed) % shard.slots.size();
   Slot& slot = shard.slots[idx];
   if (slot.lock.test_and_set(std::memory_order_acquire)) {
-    // Someone is copying (or wrapped onto) this slot right now. Dropping is
+    // Someone is copying (or wrapped onto) this slot right now. Skipping is
     // cheaper than waiting — capture must never stall the serving path.
-    dropped_.fetch_add(1, kRelaxed);
+    skipped_.fetch_add(1, kRelaxed);
     return;
   }
-  if (slot.filled) dropped_.fetch_add(1, kRelaxed);  // ring overwrite
+  if (slot.filled) evicted_.fetch_add(1, kRelaxed);  // ring overwrite
   slot.filled = true;
   slot.value = std::move(profile);
   slot.lock.clear(std::memory_order_release);
@@ -112,7 +111,8 @@ void QueryProfileStore::WriteJson(JsonWriter& w) const {
   w.BeginObject();
   w.KV("capacity", static_cast<unsigned long long>(capacity_));
   w.KV("recorded", static_cast<unsigned long long>(recorded()));
-  w.KV("dropped", static_cast<unsigned long long>(dropped()));
+  w.KV("evicted", static_cast<unsigned long long>(evicted()));
+  w.KV("skipped", static_cast<unsigned long long>(skipped()));
   w.Key("profiles");
   w.BeginArray();
   for (const QueryProfile& p : profiles) p.WriteJson(w);

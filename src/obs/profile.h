@@ -53,7 +53,6 @@ struct QueryProfile {
   // Condition-satisfiability probes of the call, by answer path.
   long long sat_index_probes = 0;
   long long sat_scan_probes = 0;
-  long long sat_memo_hits = 0;
 
   long long translations = 0;   ///< ranked candidates returned
   uint64_t rows_scanned = 0;    ///< base rows read from storage (execute)
@@ -81,9 +80,9 @@ struct QueryProfile {
 /// rarely share a cursor cache line), takes the slot's try-lock, and moves
 /// the record in. The only lock hold is the move itself; if the try-lock is
 /// already taken (a reader copying the slot, or a wrapped-around writer), the
-/// record is dropped and counted rather than waited for — capture must never
-/// add latency to the serving path. Old records are overwritten ring-style;
-/// every overwrite and contention skip increments dropped().
+/// record is skipped and counted in skipped() rather than waited for —
+/// capture must never add latency to the serving path. Old records are
+/// overwritten ring-style; every overwrite counts in evicted().
 ///
 /// Readers (Snapshot / WriteJson) spin-acquire each slot briefly to copy it;
 /// they are expected to be rare (periodic stats snapshots, sys_queries).
@@ -104,12 +103,14 @@ class QueryProfileStore {
   std::vector<QueryProfile> Snapshot() const;
 
   uint64_t recorded() const { return recorded_.load(std::memory_order_relaxed); }
-  /// Records lost: overwritten by ring wrap-around or skipped under slot
-  /// contention. The serving bench reports this as profile_ring_dropped.
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  /// Older records overwritten by ring wrap-around.
+  uint64_t evicted() const { return evicted_.load(std::memory_order_relaxed); }
+  /// Records never stored because their slot was busy (slot contention).
+  uint64_t skipped() const { return skipped_.load(std::memory_order_relaxed); }
   size_t capacity() const { return capacity_; }
 
-  /// {"capacity": .., "recorded": .., "dropped": .., "profiles": [..]}.
+  /// {"capacity": .., "recorded": .., "evicted": .., "skipped": ..,
+  ///  "profiles": [..]}.
   void WriteJson(JsonWriter& w) const;
   std::string ToJson(bool pretty = false) const;
 
@@ -129,7 +130,8 @@ class QueryProfileStore {
   std::unique_ptr<Shard[]> shards_;
   std::atomic<uint64_t> next_id_{0};
   std::atomic<uint64_t> recorded_{0};
-  mutable std::atomic<uint64_t> dropped_{0};
+  std::atomic<uint64_t> evicted_{0};
+  std::atomic<uint64_t> skipped_{0};
 };
 
 }  // namespace sfsql::obs

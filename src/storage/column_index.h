@@ -57,8 +57,7 @@ struct ColumnIndexStats {
 /// therefore either (a) hold Database::ReadLock() across both the Get and
 /// every row access, so the size cannot advance in between (what the executor
 /// does), or (b) re-check built_rows() == num_rows() at use time and replan
-/// on mismatch — the same epoch discipline as the mapper's satisfiability
-/// memo.
+/// on mismatch.
 class ColumnIndex {
  public:
   /// Scans `table`'s column `attr_index` once and builds the summary. `ngram`

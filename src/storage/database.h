@@ -134,8 +134,7 @@ class Database {
 
   /// Row count of one relation, read under the data lock — safe against
   /// concurrent Insert (table(r).num_rows() without the lock races with the
-  /// chunk directory growing). The mapper's satisfiability memo uses this as
-  /// its per-relation freshness stamp.
+  /// chunk directory growing).
   size_t NumRows(int relation_id) const;
 
   /// Appends `row` to relation `relation_id` after checking arity and that each

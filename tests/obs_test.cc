@@ -481,7 +481,8 @@ TEST(QueryProfileStoreTest, AssignsIdsAndSnapshotsInOrder) {
   store.Record(DemoProfile(200, "b"));
   store.Record(DemoProfile(300, "c"));
   EXPECT_EQ(store.recorded(), 3u);
-  EXPECT_EQ(store.dropped(), 0u);
+  EXPECT_EQ(store.evicted(), 0u);
+  EXPECT_EQ(store.skipped(), 0u);
   std::vector<QueryProfile> got = store.Snapshot();
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].id, 1u);
@@ -499,7 +500,8 @@ TEST(QueryProfileStoreTest, RingWrapsOverwritingOldestAndCountsDrops) {
     store.Record(DemoProfile(100 * (i + 1), "q"));
   }
   EXPECT_EQ(store.recorded(), 6u);
-  EXPECT_EQ(store.dropped(), 2u);  // ids 1 and 2 were overwritten
+  EXPECT_EQ(store.evicted(), 2u);  // ids 1 and 2 were overwritten
+  EXPECT_EQ(store.skipped(), 0u);  // one thread: no slot contention
   std::vector<QueryProfile> got = store.Snapshot();
   ASSERT_EQ(got.size(), 4u);
   EXPECT_EQ(got.front().id, 3u);
@@ -577,11 +579,11 @@ TEST(QueryProfileStoreTest, ConcurrentRecordsNeitherBlockNorCorrupt) {
   }
   for (std::thread& w : workers) w.join();
   const uint64_t total = static_cast<uint64_t>(kThreads) * kPerThread;
-  // recorded + contention-skips == total; overwrite-drops are a subset of
-  // dropped, so dropped >= recorded - capacity.
-  EXPECT_LE(store.recorded(), total);
-  EXPECT_GE(store.recorded() + store.dropped(), total);
+  // Every Record either stores its profile or skips it, and every stored
+  // profile either fills an empty slot or evicts an older one.
+  EXPECT_EQ(store.recorded() + store.skipped(), total);
   std::vector<QueryProfile> got = store.Snapshot();
+  EXPECT_EQ(got.size(), store.recorded() - store.evicted());
   EXPECT_LE(got.size(), store.capacity());
   for (size_t i = 1; i < got.size(); ++i) {
     EXPECT_LT(got[i - 1].id, got[i].id);  // Snapshot sorts by id

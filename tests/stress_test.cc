@@ -1,6 +1,6 @@
 // Concurrency stress: Engine::Translate racing Database::InsertRows on one
 // shared engine with every accelerator enabled (plan cache, mapping cache,
-// satisfiability memo, column indexes, parallel generator). Designed for the
+// similarity cache, column indexes). Designed for the
 // TSan CI configuration, but the assertions are meaningful under any build:
 //
 //   * every translation observed during the race equals the pre-insert or the
@@ -8,7 +8,7 @@
 //     satisfiability, so no probe interleaving can produce a third result),
 //   * after the writer quiesces, the shared engine serves the post-insert
 //     translation — no cache layer (plan cache tier-1/2, mapping cache,
-//     satisfiability memo, column index) may hold a stale answer.
+//     column index) may hold a stale answer.
 
 #include <gtest/gtest.h>
 

@@ -74,10 +74,11 @@ uint64_t RollStats(const obs::QueryProfileStore& profiles,
                     {{"quantile", "p99"}})->Set(p99);
   std::printf("[stats t=%.1fs] %zu queries in window, "
               "p50 %.3f ms  p95 %.3f ms  p99 %.3f ms, "
-              "%llu profiles recorded, %llu dropped\n",
+              "%llu profiles recorded, %llu evicted, %llu skipped\n",
               elapsed_seconds, window_ms.size(), p50, p95, p99,
               static_cast<unsigned long long>(profiles.recorded()),
-              static_cast<unsigned long long>(profiles.dropped()));
+              static_cast<unsigned long long>(profiles.evicted()),
+              static_cast<unsigned long long>(profiles.skipped()));
   std::fflush(stdout);
   return max_id;
 }
@@ -312,9 +313,11 @@ int main(int argc, char** argv) {
               stats.entries,
               static_cast<unsigned long long>(stats.lru_evictions),
               static_cast<unsigned long long>(stats.stale_evictions));
-  std::printf("profiles: %llu recorded, %llu dropped (ring capacity %zu)\n",
+  std::printf("profiles: %llu recorded, %llu evicted, %llu skipped "
+              "(ring capacity %zu)\n",
               static_cast<unsigned long long>(profiles.recorded()),
-              static_cast<unsigned long long>(profiles.dropped()),
+              static_cast<unsigned long long>(profiles.evicted()),
+              static_cast<unsigned long long>(profiles.skipped()),
               profiles.capacity());
   if (const exec::TaskPool* pool = engine.task_pool()) {
     const exec::TaskPoolStats ps = pool->stats();

@@ -121,10 +121,11 @@ int main(int argc, char** argv) {
   }
   if (const JsonValue* store = parsed->Find("profiles");
       store != nullptr && store->is_object()) {
-    std::printf("profile ring: %.0f recorded, %.0f dropped "
+    std::printf("profile ring: %.0f recorded, %.0f evicted, %.0f skipped "
                 "(capacity %.0f)\n",
                 NumberOr(store->Find("recorded"), 0),
-                NumberOr(store->Find("dropped"), 0),
+                NumberOr(store->Find("evicted"), 0),
+                NumberOr(store->Find("skipped"), 0),
                 NumberOr(store->Find("capacity"), 0));
   }
   if (const JsonValue* pool = parsed->Find("pool");

@@ -121,11 +121,13 @@ bool ValidateFile(const std::string& path) {
   }
   // The serving bench must report cache effectiveness and the cost of
   // always-on profiling: tier hit rates, the profiling on/off throughput
-  // pair with its ratio, and the profile ring's drop count. Their absence
+  // pair with its ratio, and the profile ring's evicted and skipped counts
+  // (ring wrap-around vs slot contention). Their absence
   // means the observability section silently fell out of the bench.
   if (bench->string == "serving") {
     for (const char* key :
-         {"tier2_hit_rate", "tier1_hit_rate", "profile_ring_dropped",
+         {"tier2_hit_rate", "tier1_hit_rate", "profile_ring_evicted",
+          "profile_ring_skipped",
           "profiling_on_queries_per_second",
           "profiling_off_queries_per_second", "profiling_overhead_ratio"}) {
       const JsonValue* v = metrics->Find(key);
